@@ -1487,12 +1487,22 @@ mod tests {
         assert_eq!(snapshot.gauge("gateway.cache.hits"), Some(1));
         assert_eq!(snapshot.gauge("gateway.cache.misses"), Some(1));
         assert_eq!(snapshot.gauge("gateway.cache.entries"), Some(1));
-        // Worker arena gauges were published after the batch.
+        // Worker arena gauges are published after the batch, once its
+        // replies have gone out, by whichever worker served it: wait for it.
+        let published = |snapshot: &TelemetrySnapshot| {
+            (0..RouteConfig::default().num_workers).any(|worker| {
+                snapshot
+                    .gauge(&format!("route.{label}.arena.w{worker}.high_water_bytes"))
+                    .is_some_and(|bytes| bytes > 0)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !published(&client.telemetry_snapshot()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(
-            snapshot
-                .gauge(&format!("route.{label}.arena.w0.high_water_bytes"))
-                .is_some_and(|bytes| bytes > 0),
-            "worker 0 must publish its arena high-water mark"
+            published(&client.telemetry_snapshot()),
+            "the serving worker must publish its arena high-water mark"
         );
         // GatewayStats is a view over the same registry: the counters agree.
         assert_eq!(

@@ -2,14 +2,19 @@
 //!
 //! This crate provides the numerical foundation used by every other crate in the
 //! workspace: an owned, contiguous, row-major [`Tensor`] with an NCHW-oriented
-//! convolution toolkit (im2col/col2im, direct depthwise convolution), pooling,
-//! resampling, padding, and the shape bookkeeping needed to implement both the
-//! super-resolution networks and the classifiers of the paper *Super-Efficient
-//! Super Resolution for Fast Adversarial Defense at the Edge* (DATE 2022).
+//! convolution toolkit (a direct register-blocked dense convolution forward,
+//! im2col/col2im for its backward pass, direct depthwise convolution),
+//! pooling, resampling, padding, and the shape bookkeeping needed to implement
+//! both the super-resolution networks and the classifiers of the paper
+//! *Super-Efficient Super Resolution for Fast Adversarial Defense at the Edge*
+//! (DATE 2022).
 //!
-//! The design goal is correctness and clarity rather than peak throughput: all
-//! kernels are straightforward loops over contiguous buffers, which is fast
-//! enough for the laptop-scale synthetic workloads used in the reproduction.
+//! The design goal is correctness and clarity: kernels are safe-Rust loops
+//! over contiguous buffers. The exception is the dense convolution forward
+//! ([`conv::conv2d_arena`]), which every served SR layer runs: it accumulates
+//! tiles of output channels × output columns in fixed-size arrays that the
+//! compiler vectorizes, and sums each output in the same order as the
+//! im2col + matmul lowering, so it is bitwise identical to it.
 //!
 //! The one concession to the serving hot path is memory traffic: the
 //! [`arena`] module provides [`TensorArena`], a pooled scratch allocator,

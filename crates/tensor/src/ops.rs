@@ -2,14 +2,15 @@
 
 use crate::{Result, Shape, Tensor, TensorArena, TensorError};
 
-/// Core matrix-multiply kernel shared by [`Tensor::matmul`] and the
-/// arena-backed convolution path: `out += a (m×k) · b (k×n)`, all operands
-/// contiguous row-major slices. `out` must be zero-initialised by the caller.
+/// Matrix-multiply kernel behind [`Tensor::matmul`]: `out += a (m×k) · b
+/// (k×n)`, all operands contiguous row-major slices. `out` must be
+/// zero-initialised by the caller.
 ///
 /// Loop order (i, p, j) keeps the innermost accesses contiguous in both the
-/// output row and the B row, which matters for the im2col-based convolutions
-/// built on top of this.
-pub(crate) fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+/// output row and the B row, which matters for the im2col-based convolution
+/// backward pass built on [`Tensor::matmul`]. The convolution forward does
+/// not use it; it runs a direct kernel that sums in the same (i, p) order.
+fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);

@@ -3,12 +3,58 @@
 //! defense pipeline) implicitly rely on.
 
 use proptest::prelude::*;
-use sesr_tensor::conv::{conv2d, Conv2dConfig};
+use sesr_tensor::conv::{conv2d, im2col, Conv2dConfig};
 use sesr_tensor::resample::{depth_to_space, resize, space_to_depth, Interpolation};
 use sesr_tensor::{Shape, Tensor};
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len)
+}
+
+/// `len` deterministic values in [-2, 2) from `seed`; when `zeros` is set,
+/// about one in five is exactly zero.
+fn seeded_values(len: usize, seed: u64, zeros: bool) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if zeros && state.is_multiple_of(5) {
+                0.0
+            } else {
+                (state >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+            }
+        })
+        .collect()
+}
+
+/// The im2col + matmul lowering of a convolution: `W · im2col(x)`, with the
+/// bias added last and the `[C_out, N·OH·OW]` product laid out as NCHW.
+fn conv2d_reference(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dConfig,
+) -> Tensor {
+    let (n, c_in, h, w) = input.shape().as_nchw().unwrap();
+    let c_out = weight.shape().dims()[0];
+    let (oh, ow) = cfg.output_size(h, w).unwrap();
+    let k = cfg.kernel;
+    let w_mat = weight.reshape(Shape::new(&[c_out, c_in * k * k])).unwrap();
+    let prod = w_mat.matmul(&im2col(input, cfg).unwrap()).unwrap();
+    let spatial = oh * ow;
+    let mut out = vec![0.0f32; n * c_out * spatial];
+    for b in 0..n {
+        for co in 0..c_out {
+            let b_val = bias.map_or(0.0, |bt| bt.data()[co]);
+            for s in 0..spatial {
+                out[(b * c_out + co) * spatial + s] =
+                    prod.data()[co * n * spatial + b * spatial + s] + b_val;
+            }
+        }
+    }
+    Tensor::from_vec(Shape::new(&[n, c_out, oh, ow]), out).unwrap()
 }
 
 proptest! {
@@ -115,5 +161,56 @@ proptest! {
         let x = Tensor::from_vec(Shape::new(&[17]), data).unwrap();
         prop_assert!(x.mean() >= x.min() - 1e-4);
         prop_assert!(x.mean() <= x.max() + 1e-4);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The direct convolution kernel sums every output in the same order as
+    /// the im2col + matmul lowering, so the two agree bit for bit — across
+    /// channel counts and widths that are not multiples of the kernel's
+    /// tiles, inputs smaller than the kernel, strides and paddings, and
+    /// weights with exact zeros (which the matmul skips).
+    #[test]
+    fn conv2d_is_bitwise_the_im2col_matmul_lowering(
+        n in 1usize..=3,
+        c_in in 1usize..=20,
+        c_out in 1usize..=20,
+        h in 1usize..=19,
+        w in 1usize..=19,
+        k in prop::sample::select(vec![1usize, 3, 5, 7]),
+        stride in 1usize..=3,
+        pad_pick in 0usize..=3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let cfg = Conv2dConfig::new(k, stride, pad_pick % (k / 2 + 1));
+        let x = Tensor::from_vec(
+            Shape::new(&[n, c_in, h, w]),
+            seeded_values(n * c_in * h * w, seed, false),
+        )
+        .unwrap();
+        let weight = Tensor::from_vec(
+            Shape::new(&[c_out, c_in, k, k]),
+            seeded_values(c_out * c_in * k * k, seed ^ 0x9e37_79b9, true),
+        )
+        .unwrap();
+        let bias = Tensor::from_vec(
+            Shape::new(&[c_out]),
+            seeded_values(c_out, seed ^ 0x85eb_ca6b, true),
+        )
+        .unwrap();
+        let bias = seed.is_multiple_of(2).then_some(&bias);
+        let got = conv2d(&x, &weight, bias, cfg);
+        if cfg.output_size(h, w).is_err() {
+            prop_assert!(got.is_err());
+            return Ok(());
+        }
+        let got = got.unwrap();
+        let want = conv2d_reference(&x, &weight, bias, cfg);
+        prop_assert_eq!(got.shape(), want.shape());
+        for (i, (g, r)) in got.data().iter().zip(want.data()).enumerate() {
+            prop_assert!(g.to_bits() == r.to_bits(), "element {} differs: {} vs {}", i, g, r);
+        }
     }
 }
